@@ -14,7 +14,7 @@
 //! E15 narrates them. `BENCH_parallel.json` (E11) keeps the
 //! worker-sweep view of the same queries.
 
-use bench::{compile, scaled_db};
+use bench::{compile, provenance_json, scaled_db};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -53,6 +53,7 @@ fn main() {
     let engines: &[(&str, bool)] = &[("pipelined", false), ("planner", true)];
 
     let mut json = String::from("{\n  \"experiment\": \"E15_planner\",\n");
+    let _ = writeln!(json, "  {},", provenance_json());
     let _ = writeln!(json, "  \"companies\": {COMPANIES},");
     let _ = writeln!(json, "  \"reps\": {REPS},");
     json.push_str("  \"queries\": [\n");

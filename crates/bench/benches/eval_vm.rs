@@ -11,12 +11,15 @@
 //!
 //! The claim under test: a warm cached plan pays zero parse, resolve
 //! or type cost — `warm_us` tracks `execute_us`, not
-//! `parse_resolve_us + compile_us + execute_us`.
+//! `parse_resolve_us + compile_us + execute_us`. The baseline is the
+//! uncached `Session::execute(&parse(src)?)` path: every run re-parses,
+//! re-resolves and re-plans, then runs the same bytecode executor.
 //!
 //! Results go to `BENCH_vm.json` at the repo root (hand-rendered JSON;
 //! the offline criterion shim has no reporting). Wall-clock timing on
 //! medians — phase costs are microsecond-scale, not nanosecond kernels.
 
+use bench::provenance_json;
 use datagen::{figure1_scaled, Figure1Params};
 use oodb::Database;
 use std::fmt::Write as _;
@@ -33,7 +36,6 @@ fn scaled_db() -> Database {
 
 fn vm_opts() -> EvalOptions {
     EvalOptions {
-        use_vm: true,
         use_planner: true,
         ..EvalOptions::default()
     }
@@ -56,11 +58,20 @@ fn time_us<F: FnMut()>(mut f: F) -> u128 {
     median(lat)
 }
 
-fn run(s: &mut Session, src: &str) -> usize {
-    match s.run(src).expect("statement") {
+fn rows(out: Outcome) -> usize {
+    match out {
         Outcome::Relation(r) => r.len(),
         o => panic!("expected rows, got {o:?}"),
     }
+}
+
+fn run(s: &mut Session, src: &str) -> usize {
+    rows(s.run(src).expect("statement"))
+}
+
+/// The uncached path: parse, then resolve, plan and execute.
+fn execute(s: &mut Session, src: &str) -> usize {
+    rows(s.execute(&parse(src).expect("parse")).expect("statement"))
 }
 
 struct Phases {
@@ -87,19 +98,12 @@ fn phases(src: &'static str) -> Phases {
         std::hint::black_box(Program::compile(&db, &opts, resolved.clone(), 0));
     });
 
-    // Engine baseline: planner engine, VM off — every run re-parses,
-    // re-resolves and re-plans, exactly today's `XSQL_VM=0` path.
-    let mut base = Session::with_options(
-        scaled_db(),
-        EvalOptions {
-            use_vm: false,
-            use_planner: true,
-            ..EvalOptions::default()
-        },
-    );
-    run(&mut base, src); // warm the OID interner
+    // Baseline: the uncached path — every run re-parses, re-resolves
+    // and re-plans before the dispatch loop.
+    let mut base = Session::with_options(scaled_db(), vm_opts());
+    execute(&mut base, src); // warm the OID interner
     let baseline_us = time_us(|| {
-        run(&mut base, src);
+        execute(&mut base, src);
     });
 
     // Cold: a fresh session per iteration (prepared outside the timed
@@ -146,6 +150,7 @@ fn main() {
     ];
 
     let mut json = String::from("{\n  \"experiment\": \"E16_vm_plan_cache\",\n");
+    let _ = writeln!(json, "  {},", provenance_json());
     let _ = writeln!(json, "  \"reps\": {REPS},");
     let _ = writeln!(json, "  \"db\": \"figure1 scaled to 200 objects\",");
     json.push_str("  \"queries\": [\n");

@@ -27,3 +27,19 @@ pub fn scaled_db(companies: usize) -> Database {
         ..Figure1Params::default()
     })
 }
+
+/// JSON fields naming where a result file was measured: the core count
+/// (`std::thread::available_parallelism`) and the source revision
+/// (`git describe --always --dirty`, `unknown` outside a checkout).
+pub fn provenance_json() -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let commit = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    format!("\"cores\": {cores}, \"git_commit\": \"{commit}\"")
+}

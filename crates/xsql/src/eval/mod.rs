@@ -148,16 +148,6 @@ pub struct EvalOptions {
     /// to sequential. Floored at 2 — a 1-candidate partition is never
     /// split. Tests pin it low to force workers on toy extents.
     pub parallel_min_candidates: usize,
-    /// Let the bytecode VM (`crate::vm`) compile statements run through
-    /// [`Session::run`](crate::Session::run) and serve repeats from the
-    /// schema-epoch plan cache, and let `EXECUTE` run prepared programs
-    /// through the VM dispatch loop. Results are bit-identical to the
-    /// other engines (the differential suite crosses VM cold and warm
-    /// cache against naive/pipelined/planner/parallel). Defaults to on;
-    /// `XSQL_VM=0` disables compilation and caching wholesale — every
-    /// statement then takes today's parse→resolve→evaluate path
-    /// unchanged.
-    pub use_vm: bool,
     /// Optional execution-profile sink (`EXPLAIN ANALYZE`). When
     /// attached, the evaluator records strategy, partition, stage and
     /// cost information into it; recording sites are gated on the
@@ -185,13 +175,6 @@ fn env_planner() -> bool {
     std::env::var("XSQL_PLANNER").map_or(true, |v| v != "0")
 }
 
-/// Default VM switch: on unless the `XSQL_VM` environment variable is
-/// set to `0` (the compatibility leg in CI sweeps whole suites through
-/// the pre-VM paths this way).
-fn env_vm() -> bool {
-    std::env::var("XSQL_VM").map_or(true, |v| v != "0")
-}
-
 impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
@@ -204,7 +187,6 @@ impl Default for EvalOptions {
             parallelism: env_parallelism(),
             use_planner: env_planner(),
             parallel_min_candidates: 64,
-            use_vm: env_vm(),
             profile: None,
         }
     }

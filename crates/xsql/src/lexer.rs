@@ -52,6 +52,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, XsqlError> {
                 toks.push(Token {
                     kind: TokenKind::Str(s),
                     offset: start,
+                    end: i,
                 });
             }
             b'"' => {
@@ -63,6 +64,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, XsqlError> {
                 toks.push(Token {
                     kind: TokenKind::MethodVar(name),
                     offset: start,
+                    end: i,
                 });
             }
             b'#' => {
@@ -74,6 +76,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, XsqlError> {
                 toks.push(Token {
                     kind: TokenKind::ClassVar(name),
                     offset: start,
+                    end: i,
                 });
             }
             b'?' => {
@@ -98,6 +101,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, XsqlError> {
                 toks.push(Token {
                     kind: TokenKind::Param(n),
                     offset: start,
+                    end: i,
                 });
             }
             b'0'..=b'9' => {
@@ -118,6 +122,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, XsqlError> {
                     toks.push(Token {
                         kind: TokenKind::Real(v),
                         offset: start,
+                        end: i,
                     });
                 } else {
                     let v: i64 = src[start..i]
@@ -126,6 +131,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, XsqlError> {
                     toks.push(Token {
                         kind: TokenKind::Int(v),
                         offset: start,
+                        end: i,
                     });
                 }
             }
@@ -137,6 +143,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, XsqlError> {
                     toks.push(Token {
                         kind: t,
                         offset: start,
+                        end: start + n,
                     });
                     *i += n;
                 };
@@ -159,12 +166,14 @@ pub fn lex(src: &str) -> Result<Vec<Token>, XsqlError> {
                     toks.push(Token {
                         kind: TokenKind::ClassVar(name),
                         offset: start,
+                        end: i,
                     });
                 } else if let Some((name, j)) = take_ident(src, i) {
                     i = j;
                     toks.push(Token {
                         kind: TokenKind::Ident(name),
                         offset: start,
+                        end: i,
                     });
                 } else {
                     let kind = match c {
@@ -196,7 +205,11 @@ pub fn lex(src: &str) -> Result<Vec<Token>, XsqlError> {
                             ))
                         }
                     };
-                    toks.push(Token { kind, offset: i });
+                    toks.push(Token {
+                        kind,
+                        offset: i,
+                        end: i + 1,
+                    });
                     i += 1;
                 }
             }
@@ -205,6 +218,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, XsqlError> {
     toks.push(Token {
         kind: TokenKind::Eof,
         offset: src.len(),
+        end: src.len(),
     });
     Ok(toks)
 }

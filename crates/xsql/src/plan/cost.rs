@@ -11,7 +11,7 @@ use super::{Plan, PlanFilter, PlanStep, Probe, StepMethod};
 use crate::eval::Ctx;
 
 /// Selectivity of one filter on a variable with `extent` candidates.
-fn selectivity(ctx: &Ctx<'_>, f: &PlanFilter<'_>, extent: usize) -> f64 {
+fn selectivity(ctx: &Ctx<'_>, f: &PlanFilter, extent: usize) -> f64 {
     match &f.probe {
         // Equality through the index: the average bucket holds
         // postings/distinct receivers, so the filter keeps about that

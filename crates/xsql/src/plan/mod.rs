@@ -27,6 +27,12 @@
 //!   sizes and per-attribute distinct counts ([`oodb::AttrStats`]) and
 //!   picks the join order greedily. The chosen plan renders into
 //!   `EXPLAIN` / `EXPLAIN ANALYZE` (estimated vs. actual rows).
+//! * **Lowering** — the plan lowers to a [`crate::vm::CompiledSelect`]
+//!   and runs through the bytecode VM's dispatch loop
+//!   ([`crate::vm::exec`]), the one executor of the join fragment.
+//!   `Program::compile` uses the same recognizer and the same lowering,
+//!   so an ad-hoc query and a cached or prepared one run the same
+//!   instruction stream.
 //!
 //! Anything outside the fragment — class/method variables, ground
 //! conjuncts, three-variable conjuncts, Theorem 6.1 ranges, nested or
@@ -44,12 +50,12 @@ use crate::eval::cond::{conjunct_vars, flatten_and};
 use crate::eval::select::Prepared;
 use crate::eval::value::Cell;
 use crate::eval::{vars, Ctx};
+use crate::vm::{exec, lower, ProbeSpec};
 use oodb::{Oid, ValueKey};
 use std::collections::BTreeSet;
 use std::ops::Bound;
 
 mod cost;
-pub(crate) mod exec;
 
 /// One FROM variable of a planned query.
 pub struct PlanVar<'q> {
@@ -88,12 +94,16 @@ pub enum Probe {
 
 /// A single-variable conjunct: evaluated per candidate via `holds`,
 /// optionally narrowed through an index probe first.
-pub struct PlanFilter<'q> {
+pub struct PlanFilter {
     /// Index into [`Plan::vars`].
     pub var: usize,
-    /// The conjunct (evaluated by the stock `holds`).
-    pub cond: &'q Cond,
-    /// Index narrowing, when recognized and sound.
+    /// Index of the conjunct in the flattened WHERE clause (evaluated
+    /// per candidate by the stock `holds`).
+    pub conj: usize,
+    /// The probe shape `V.Attr op konst`, when the conjunct has it.
+    pub spec: Option<ProbeSpec>,
+    /// `spec` materialized against the database now (for estimates and
+    /// `EXPLAIN`); the executor re-materializes it per run.
     pub probe: Option<Probe>,
     /// Rendered form (for EXPLAIN).
     pub label: String,
@@ -134,12 +144,51 @@ pub enum EdgeKind<'q> {
     },
 }
 
+impl<'q> EdgeKind<'q> {
+    /// The operational shape of a conjunct, without checking which
+    /// variables its sides depend on (`recognize_edge` does that). The
+    /// executor re-borrows each edge from the bound statement this way.
+    pub(crate) fn of(c: &'q Cond) -> Option<EdgeKind<'q>> {
+        Some(match c {
+            Cond::Cmp {
+                left,
+                lq,
+                op,
+                rq,
+                right,
+            } => EdgeKind::Cmp {
+                left,
+                lq: *lq,
+                op: *op,
+                rq: *rq,
+                right,
+            },
+            Cond::SetCmp { left, op, right } => EdgeKind::SetCmp {
+                left,
+                op: *op,
+                right,
+            },
+            Cond::Path(p) => {
+                let mut path = p.clone();
+                match path.steps.last_mut() {
+                    Some(Step::Method { selector, .. }) => *selector = None,
+                    _ => return None,
+                }
+                EdgeKind::SetLink { path }
+            }
+            _ => return None,
+        })
+    }
+}
+
 /// A two-variable conjunct (join edge).
 pub struct PlanEdge<'q> {
     /// Var index owning the left / head side.
     pub a: usize,
     /// Var index owning the right / selector side.
     pub b: usize,
+    /// Index of the conjunct in the flattened WHERE clause.
+    pub conj: usize,
     /// Operational shape.
     pub kind: EdgeKind<'q>,
     /// Rendered form (for EXPLAIN).
@@ -190,7 +239,7 @@ pub struct Plan<'q> {
     /// FROM variables, in FROM order.
     pub vars: Vec<PlanVar<'q>>,
     /// Single-variable conjuncts, in conjunct order.
-    pub filters: Vec<PlanFilter<'q>>,
+    pub filters: Vec<PlanFilter>,
     /// Two-variable conjuncts, in conjunct order.
     pub edges: Vec<PlanEdge<'q>>,
     /// Chosen join order (first step is the driver scan).
@@ -275,16 +324,18 @@ pub(crate) fn solve_query_planned(
     let Some(plan) = plan_query(ctx, q, prep) else {
         return Ok(None);
     };
+    let Some(cs) = lower::lower_plan(&plan, q) else {
+        return Ok(None);
+    };
     let profile = ctx.opts.profile.as_ref();
     if let Some(p) = profile {
         p.record_strategy("planner", ctx.opts.parallelism);
     }
-    let mut rows = BTreeSet::new();
-    let actuals = exec::execute(ctx, q, &plan, &mut rows)?;
+    let (rows, actuals) = exec::run_select(ctx, &cs, q)?;
     if let Some(p) = profile {
         p.record_plan(plan.render_lines(Some(&actuals)));
     }
-    Ok(Some(rows))
+    Ok(Some(rows.into_cells()))
 }
 
 /// Static plan lines for plain `EXPLAIN`: what the planner would do,
@@ -355,7 +406,7 @@ pub(crate) fn plan_query<'q>(
     let var_idx = |n: &str| plan_vars.iter().position(|v| v.name == n);
     let mut filters = Vec::new();
     let mut edges = Vec::new();
-    for c in conjs {
+    for (ci, c) in conjs.into_iter().enumerate() {
         if matches!(c, Cond::Update(_)) {
             return None;
         }
@@ -366,15 +417,16 @@ pub(crate) fn plan_query<'q>(
         match cv.len() {
             1 => {
                 let vi = var_idx(cv.first().unwrap())?;
-                let probe = filter_probe(ctx, c, plan_vars[vi].name);
+                let spec = lower::probe_spec(ctx.db, c, plan_vars[vi].name);
                 filters.push(PlanFilter {
                     var: vi,
-                    cond: c,
-                    probe,
+                    conj: ci,
+                    spec,
+                    probe: spec.and_then(|s| exec::materialize_probe(ctx, &s, c)),
                     label: cond_label(ctx, c),
                 });
             }
-            2 => edges.push(recognize_edge(ctx, c, &outer_vars, &var_idx)?),
+            2 => edges.push(recognize_edge(ctx, ci, c, &outer_vars, &var_idx)?),
             _ => return None,
         }
     }
@@ -405,18 +457,13 @@ fn side_vars<'q>(op: &'q Operand, outer_vars: &BTreeSet<&'q str>) -> BTreeSet<&'
 
 fn recognize_edge<'q>(
     ctx: &Ctx<'_>,
+    conj: usize,
     c: &'q Cond,
     outer_vars: &BTreeSet<&'q str>,
     var_idx: &dyn Fn(&str) -> Option<usize>,
 ) -> Option<PlanEdge<'q>> {
     match c {
-        Cond::Cmp {
-            left,
-            lq,
-            op,
-            rq,
-            right,
-        } => {
+        Cond::Cmp { left, right, .. } | Cond::SetCmp { left, right, .. } => {
             let lv = side_vars(left, outer_vars);
             let rv = side_vars(right, outer_vars);
             if lv.len() != 1 || rv.len() != 1 || lv == rv {
@@ -425,41 +472,9 @@ fn recognize_edge<'q>(
             Some(PlanEdge {
                 a: var_idx(lv.first().unwrap())?,
                 b: var_idx(rv.first().unwrap())?,
-                kind: EdgeKind::Cmp {
-                    left,
-                    lq: *lq,
-                    op: *op,
-                    rq: *rq,
-                    right,
-                },
-                label: format!(
-                    "{} {} {}",
-                    operand_label(ctx, left),
-                    cmp_symbol(*op),
-                    operand_label(ctx, right)
-                ),
-            })
-        }
-        Cond::SetCmp { left, op, right } => {
-            let lv = side_vars(left, outer_vars);
-            let rv = side_vars(right, outer_vars);
-            if lv.len() != 1 || rv.len() != 1 || lv == rv {
-                return None;
-            }
-            Some(PlanEdge {
-                a: var_idx(lv.first().unwrap())?,
-                b: var_idx(rv.first().unwrap())?,
-                kind: EdgeKind::SetCmp {
-                    left,
-                    op: *op,
-                    right,
-                },
-                label: format!(
-                    "{} {} {}",
-                    operand_label(ctx, left),
-                    set_cmp_symbol(*op),
-                    operand_label(ctx, right)
-                ),
+                conj,
+                kind: EdgeKind::of(c)?,
+                label: cond_label(ctx, c),
             })
         }
         Cond::Path(p) => {
@@ -476,84 +491,26 @@ fn recognize_edge<'q>(
             if sv.sort != VarSort::Individual || sv.name == hv.name {
                 return None;
             }
-            let mut stripped = p.clone();
-            if let Some(Step::Method { selector, .. }) = stripped.steps.last_mut() {
-                *selector = None;
-            }
+            let kind = EdgeKind::of(c)?;
+            let EdgeKind::SetLink { path: stripped } = &kind else {
+                return None;
+            };
             let mut spv = BTreeSet::new();
-            vars::path_vars(&stripped, &mut spv);
+            vars::path_vars(stripped, &mut spv);
             if spv.len() != 1 || !spv.contains(hv.name.as_str()) {
                 return None;
             }
-            let label = format!("{}[{}]", path_label(ctx, &stripped), sv.name);
+            let label = format!("{}[{}]", path_label(ctx, stripped), sv.name);
             Some(PlanEdge {
                 a: var_idx(&hv.name)?,
                 b: var_idx(&sv.name)?,
-                kind: EdgeKind::SetLink { path: stripped },
+                conj,
+                kind,
                 label,
             })
         }
         _ => None,
     }
-}
-
-/// Recognizes an index-narrowable filter: `V.Attr op constant` (either
-/// orientation) where `Attr` is a stored 0-ary attribute whose ordered
-/// index is complete, the path-side quantifier is existential, and the
-/// operator/constant pair maps onto a typed key probe. The probe is a
-/// sound *superset* (k-ary entries and numeral collapsing make it
-/// non-exact); execution re-verifies every survivor with `holds`.
-fn filter_probe(ctx: &Ctx<'_>, c: &Cond, var: &str) -> Option<Probe> {
-    if !ctx.opts.use_method_index {
-        return None;
-    }
-    let Cond::Cmp {
-        left,
-        lq,
-        op,
-        rq,
-        right,
-    } = c
-    else {
-        return None;
-    };
-    let oriented = |path_op: &Operand, pq: Option<Quant>, cmp: CmpOp, konst: &Operand| {
-        if pq == Some(Quant::All) {
-            return None;
-        }
-        let Operand::Path(p) = path_op else {
-            return None;
-        };
-        let IdTerm::Var(v) = &p.head else {
-            return None;
-        };
-        if v.name != var {
-            return None;
-        }
-        let [Step::Method {
-            method: MethodTerm::Name(attr),
-            args,
-            selector: None,
-        }] = p.steps.as_slice()
-        else {
-            return None;
-        };
-        if !args.is_empty() {
-            return None;
-        }
-        let Operand::Path(k) = konst else {
-            return None;
-        };
-        let (IdTerm::Oid(konst_oid), []) = (&k.head, k.steps.as_slice()) else {
-            return None;
-        };
-        let m = ctx.db.oids().find_sym(attr)?;
-        if !ctx.db.attr_index_complete(m) {
-            return None;
-        }
-        probe_for(ctx, m, cmp, *konst_oid)
-    };
-    oriented(left, *lq, *op, right).or_else(|| oriented(right, *rq, flip(*op), left))
 }
 
 /// `a op b` ⟺ `b flip(op) a`.

@@ -172,8 +172,7 @@ pub struct Session {
     prepared: BTreeMap<String, PreparedEntry>,
     /// The transparent plan cache: compiled programs keyed on
     /// normalized statement text, fenced by schema epoch
-    /// ([`crate::vm::PlanCache`]). Consulted by [`Session::run`] when
-    /// [`EvalOptions::use_vm`] is on.
+    /// ([`crate::vm::PlanCache`]). Consulted by [`Session::run`].
     plan_cache: vm::PlanCache,
     /// Cached plan-cache metric handles (re-derived on
     /// [`Session::set_registry`]).
@@ -543,21 +542,14 @@ impl Session {
     /// view catalogue) back to the pre-statement state. Outside an
     /// explicit transaction a successful statement commits immediately;
     /// inside one it stays undoable until `COMMIT WORK`.
+    ///
+    /// The plan cache is consulted on the normalized statement text
+    /// ([`vm::normalize_src`]) under the current schema epoch; a hit
+    /// skips parse, resolve and lowering entirely. On a miss, cacheable
+    /// statements (plain SELECTs) are compiled, run, and cached;
+    /// everything else takes the [`Session::execute`] path.
     pub fn run(&mut self, src: &str) -> XsqlResult<Outcome> {
-        if self.opts.use_vm {
-            return self.run_vm(src);
-        }
-        let stmt = parse(src)?;
-        self.execute(&stmt)
-    }
-
-    /// [`Session::run`] with the VM front end: the plan cache is
-    /// consulted on the normalized statement text under the current
-    /// schema epoch; a hit skips parse, resolve and lowering entirely.
-    /// On a miss, cacheable statements (plain SELECTs) are compiled,
-    /// run, and cached; everything else takes the stock path.
-    fn run_vm(&mut self, src: &str) -> XsqlResult<Outcome> {
-        let key = vm::normalize_src(src);
+        let key = vm::normalize_src(src)?;
         let epoch = self.db.schema_epoch();
         if let Some(prog) = self.plan_cache.lookup(&key, epoch, &self.cache_metrics) {
             return self.execute_program_gated(|s| s.run_program(&prog, &[]));
@@ -1364,16 +1356,17 @@ impl Session {
         };
         match (&prog.body, stmt) {
             (vm::Body::Select(cs), Stmt::Select(q)) => {
-                let rows = {
+                let (rows, _) = {
                     let ctx = Ctx::new(&self.db, &self.opts);
-                    vm::exec::run_select(&ctx, prog, q)?
+                    vm::exec::run_select(&ctx, cs, q)?
                 };
                 let rel = match rows {
                     // Bare-OID rows: distinct by construction, nothing
                     // to intern — one bulk build.
-                    vm::exec::SelectRows::Atoms(tuples) => {
-                        Relation::from_tuples(cs.columns.clone(), tuples)
-                    }
+                    vm::exec::SelectRows::Atoms { width, oids } => Relation::from_tuples(
+                        cs.columns.clone(),
+                        oids.chunks_exact(width).map(<[Oid]>::to_vec),
+                    ),
                     vm::exec::SelectRows::Cells(rows) => Relation::from_tuples(
                         cs.columns.clone(),
                         rows.into_iter().map(|row| {

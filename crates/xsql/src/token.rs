@@ -10,6 +10,9 @@ pub struct Token {
     pub kind: TokenKind,
     /// Byte offset of the token start in the source.
     pub offset: usize,
+    /// Byte offset one past the token end (`src[offset..end]` is the
+    /// token as written).
+    pub end: usize,
 }
 
 /// Token kinds. Keywords are recognized case-insensitively by the lexer;

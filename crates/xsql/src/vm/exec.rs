@@ -1,20 +1,22 @@
 //! The dispatch loop: executes a [`CompiledSelect`]'s instruction
-//! stream against a live database.
+//! stream against a live database. It is the only executor of the join
+//! fragment: the planner lowers every plan it takes to bytecode and runs
+//! it here (`eval_select`, `EXPLAIN ANALYZE`, UNION operands, fallback
+//! bodies), and so do cached and prepared programs.
 //!
-//! This is an operator-for-operator port of the planner executor
-//! (`crate::plan::exec`): candidates come from the same extents
-//! filtered by the same `sort_ok`/`holds`, join edges run through the
-//! same `compare`/`set_compare`/hash-key canonicalization over cached
-//! columns, and emission goes through the same `emit_rows` (or a
-//! bare-variable fast path). The tick discipline is equivalent — one
-//! tick per candidate examined, per hash probe hit, per theta pair, per
-//! emitted cell — so budgets, deadlines, and cancellation keep firing
-//! in proportion to work done, and result rows are bit-identical to the
-//! other engines. (Tuple-budget charges are batched per driving tuple
-//! rather than per pair: same totals, chunk-granular limit checks, far
-//! fewer atomic bumps on large joins.)
+//! Everything semantic is delegated to the stock evaluator: candidates
+//! come from the class extents filtered by `sort_ok` and `holds`, join
+//! edges run through `compare`/`set_compare`/hash-key canonicalization
+//! over cached columns, and emission goes through `emit_rows` (or a
+//! bare-variable fast path). One tick is charged per candidate
+//! examined, per hash probe hit, per theta pair and per emitted cell,
+//! so budgets, deadlines and cancellation fire in proportion to work
+//! done, and result rows are bit-identical to the naive and pipelined
+//! engines. Tuple-budget charges are batched per driving tuple: same
+//! totals, chunk-granular limit checks, far fewer atomic bumps on large
+//! joins.
 //!
-//! The differences from the planner executor are deliberate:
+//! Two properties let one compiled program serve many executions:
 //!
 //! * **Probes materialize at run time.** A compiled [`ProbeSpec`]
 //!   becomes a typed key probe only if the attribute index is complete
@@ -26,18 +28,15 @@
 //!   conjuncts by index into the flattened WHERE clause of the bound
 //!   statement, so one compiled program serves every parameter binding.
 
-use super::{Body, CompiledSelect, KonstSrc, Op, ProbeSpec, Program};
-use crate::ast::{
-    CmpOp, Cond, IdTerm, MethodTerm, Operand, PathExpr, Quant, SelectQuery, SetCmpOp, Step,
-};
+use super::{CompiledSelect, KonstSrc, Op, ProbeSpec};
+use crate::ast::{CmpOp, Cond, IdTerm, MethodTerm, Operand, Quant, SelectQuery, Step};
 use crate::error::{XsqlError, XsqlResult};
 use crate::eval::bindings::Bindings;
 use crate::eval::cond::flatten_and;
 use crate::eval::select::emit_rows;
 use crate::eval::value::{Cell, Elem};
 use crate::eval::Ctx;
-use crate::plan::exec::{f64_cmp, CanonKey};
-use crate::plan::{probe_for, Probe};
+use crate::plan::{probe_for, EdgeKind, Probe};
 use oodb::Oid;
 use std::collections::{BTreeSet, HashMap};
 
@@ -45,35 +44,58 @@ use std::collections::{BTreeSet, HashMap};
 /// whether the new variable is the left side, other side's tuple slot).
 type FastEdge<'a> = (&'a [f64], &'a [f64], CmpOp, bool, usize);
 
-/// A join edge re-borrowed from the bound statement.
-struct REdge<'q> {
-    a: usize,
-    b: usize,
-    kind: RKind<'q>,
+/// Hash key with exactly the equivalence of `elem_eq`: numeral elements
+/// (computed numbers and numeral objects alike) collapse onto their
+/// numeric value, everything else is object identity. `-0.0` is
+/// normalized onto `0.0`; NaN elements are skipped by both build and
+/// probe sides (`elem_eq` with NaN is always false).
+#[derive(PartialEq, Eq, Hash, Clone, Copy)]
+enum CanonKey {
+    Num(u64),
+    Obj(Oid),
 }
 
-enum RKind<'q> {
-    Cmp {
-        left: &'q Operand,
-        lq: Option<Quant>,
-        op: CmpOp,
-        rq: Option<Quant>,
-        right: &'q Operand,
-    },
-    SetCmp {
-        left: &'q Operand,
-        op: SetCmpOp,
-        right: &'q Operand,
-    },
-    /// `A.Path[B]` with the selector stripped (rebuilt per execution —
-    /// the stripped clone is the only owned piece).
-    SetLink { path: PathExpr },
+impl CanonKey {
+    fn of(ctx: &Ctx<'_>, e: Elem) -> Option<CanonKey> {
+        let num = match e {
+            Elem::Num(n) => Some(n),
+            Elem::Obj(o) => ctx.db.oids().as_number(o),
+        };
+        match (num, e) {
+            (Some(n), _) if n.is_nan() => None,
+            (Some(n), _) => Some(CanonKey::Num((if n == 0.0 { 0.0 } else { n }).to_bits())),
+            (None, Elem::Obj(o)) => Some(CanonKey::Obj(o)),
+            (None, Elem::Num(_)) => unreachable!("Elem::Num always yields a number"),
+        }
+    }
+}
+
+fn f64_cmp(op: CmpOp, x: f64, y: f64) -> bool {
+    match op {
+        CmpOp::Eq => x == y,
+        CmpOp::Ne => x != y,
+        CmpOp::Lt => x < y,
+        CmpOp::Le => x <= y,
+        CmpOp::Gt => x > y,
+        CmpOp::Ge => x >= y,
+    }
+}
+
+/// A join edge re-borrowed from the bound statement: its endpoints'
+/// variable pool indices and its operational shape.
+struct Edge<'q> {
+    a: usize,
+    b: usize,
+    kind: EdgeKind<'q>,
 }
 
 /// Cached per-candidate element columns of one edge.
 struct EdgeColumns {
     a: Vec<Vec<Elem>>,
     b: Vec<Vec<Elem>>,
+    /// `Some` when every element set on both sides is a singleton
+    /// number and both quantifiers are existential: the edge can then
+    /// be compared as raw `f64`s.
     fast: Option<(Vec<f64>, Vec<f64>)>,
 }
 
@@ -86,31 +108,43 @@ struct EdgeColumns {
 /// sort instead of paying a `Cell` materialization, a sorted-set build
 /// here, and a second tree descent per row there.
 pub(crate) enum SelectRows {
-    /// Distinct bare-variable rows, in tuple-store order.
-    Atoms(Vec<Vec<Oid>>),
+    /// Distinct bare-variable rows, in tuple-store order, flattened:
+    /// every `width` OIDs are one row.
+    Atoms { width: usize, oids: Vec<Oid> },
     /// General emission: deduped, sorted cell rows.
     Cells(BTreeSet<Vec<Cell>>),
+}
+
+impl SelectRows {
+    /// The rows as a sorted cell set (what `eval_select` returns).
+    pub(crate) fn into_cells(self) -> BTreeSet<Vec<Cell>> {
+        match self {
+            SelectRows::Atoms { width, oids } => oids
+                .chunks_exact(width)
+                .map(|row| row.iter().map(|&o| Cell::Obj(o)).collect())
+                .collect(),
+            SelectRows::Cells(rows) => rows,
+        }
+    }
 }
 
 fn internal(msg: &str) -> XsqlError {
     XsqlError::Internal(format!("vm: {msg}"))
 }
 
-/// Runs a compiled SELECT program over the (already parameter-bound)
-/// query, returning the result rows. The caller pairs them with
+/// Runs a compiled SELECT over the (already parameter-bound) query,
+/// returning the result rows and the tuple count after each join
+/// opcode (one per step of the plan). The caller pairs the rows with
 /// [`CompiledSelect::columns`].
-pub(crate) fn run_select(ctx: &Ctx<'_>, prog: &Program, q: &SelectQuery) -> XsqlResult<SelectRows> {
-    let Body::Select(cs) = &prog.body else {
-        return Err(internal("run_select on a fallback program"));
-    };
+pub(crate) fn run_select(
+    ctx: &Ctx<'_>,
+    cs: &CompiledSelect,
+    q: &SelectQuery,
+) -> XsqlResult<(SelectRows, Vec<usize>)> {
     let mut conjs: Vec<&Cond> = Vec::new();
     flatten_and(&q.where_clause, &mut conjs);
     let redges = runtime_edges(cs, &conjs)?;
     validate(cs)?;
-    if let Some(p) = &ctx.opts.profile {
-        p.record_strategy("vm", 1);
-        p.record_plan(prog.disassemble());
-    }
 
     let nvars = cs.vars.len();
     // The register file: candidate lists, edge columns, tuple store.
@@ -121,7 +155,8 @@ pub(crate) fn run_select(ctx: &Ctx<'_>, prog: &Program, q: &SelectQuery) -> Xsql
     let mut tuples: Vec<u32> = Vec::new();
     let mut ntuples = 0usize;
     let mut rows: BTreeSet<Vec<Cell>> = BTreeSet::new();
-    let mut atoms: Option<Vec<Vec<Oid>>> = None;
+    let mut atoms: Option<Vec<Oid>> = None;
+    let mut actuals = Vec::with_capacity(cs.vars.len());
 
     for op in &cs.ops {
         match op {
@@ -140,6 +175,7 @@ pub(crate) fn run_select(ctx: &Ctx<'_>, prog: &Program, q: &SelectQuery) -> Xsql
                 ntuples = tuples.len();
                 ctx.count_tuples(ntuples)?;
                 slot[vi] = width - 1;
+                actuals.push(ntuples);
             }
             Op::CrossJoin { var } => {
                 let vi = *var as usize;
@@ -160,6 +196,7 @@ pub(crate) fn run_select(ctx: &Ctx<'_>, prog: &Program, q: &SelectQuery) -> Xsql
                 width += 1;
                 ntuples = tuples.len() / width;
                 slot[vi] = width - 1;
+                actuals.push(ntuples);
             }
             Op::HashJoin { var, hash, edges } => {
                 let vi = *var as usize;
@@ -223,6 +260,7 @@ pub(crate) fn run_select(ctx: &Ctx<'_>, prog: &Program, q: &SelectQuery) -> Xsql
                 width += 1;
                 ntuples = count;
                 slot[vi] = width - 1;
+                actuals.push(ntuples);
             }
             Op::ThetaJoin { var, edges } => {
                 let vi = *var as usize;
@@ -235,7 +273,7 @@ pub(crate) fn run_select(ctx: &Ctx<'_>, prog: &Program, q: &SelectQuery) -> Xsql
                         let e = &redges[ei];
                         let cols = columns[ei].as_ref()?;
                         let (fa, fb) = cols.fast.as_ref()?;
-                        let RKind::Cmp { op, .. } = &e.kind else {
+                        let EdgeKind::Cmp { op, .. } = &e.kind else {
                             return None;
                         };
                         let new_is_a = e.a == vi;
@@ -303,6 +341,7 @@ pub(crate) fn run_select(ctx: &Ctx<'_>, prog: &Program, q: &SelectQuery) -> Xsql
                 width += 1;
                 ntuples = count;
                 slot[vi] = width - 1;
+                actuals.push(ntuples);
             }
             Op::Emit => {
                 if let Some(tpl) = &cs.atom_tpl {
@@ -316,22 +355,20 @@ pub(crate) fn run_select(ctx: &Ctx<'_>, prog: &Program, q: &SelectQuery) -> Xsql
                     }
                     if mentioned.iter().all(|&m| m) {
                         let ncells = tpl.len() as u64;
-                        let mut out: Vec<Vec<Oid>> = Vec::with_capacity(ntuples);
+                        let mut oids: Vec<Oid> = Vec::with_capacity(ntuples * tpl.len());
                         for t in tuples.chunks_exact(width.max(1)) {
                             if let Some(p) = &ctx.opts.profile {
                                 p.count_solution();
                             }
                             ctx.tick_n(ncells)?;
                             ctx.check_binding_set(1)?;
-                            let mut row = Vec::with_capacity(tpl.len());
-                            for &vi in tpl {
+                            oids.extend(tpl.iter().map(|&vi| {
                                 let vi = vi as usize;
-                                row.push(cands[vi][t[slot[vi]] as usize]);
-                            }
-                            out.push(row);
+                                cands[vi][t[slot[vi]] as usize]
+                            }));
                         }
-                        ctx.count_tuples(out.len())?;
-                        atoms = Some(out);
+                        ctx.count_tuples(ntuples)?;
+                        atoms = Some(oids);
                         continue;
                     }
                     let mut out: Vec<Vec<Cell>> = Vec::with_capacity(ntuples);
@@ -368,10 +405,14 @@ pub(crate) fn run_select(ctx: &Ctx<'_>, prog: &Program, q: &SelectQuery) -> Xsql
             Op::Halt => break,
         }
     }
-    Ok(match atoms {
-        Some(out) => SelectRows::Atoms(out),
+    let rows = match atoms {
+        Some(oids) => SelectRows::Atoms {
+            width: cs.atom_tpl.as_ref().map_or(1, Vec::len),
+            oids,
+        },
         None => SelectRows::Cells(rows),
-    })
+    };
+    Ok((rows, actuals))
 }
 
 /// Static sanity pass over the instruction stream: every register is
@@ -439,42 +480,15 @@ fn validate(cs: &CompiledSelect) -> XsqlResult<()> {
 }
 
 /// Re-borrows the join edges from the bound statement's conjuncts.
-fn runtime_edges<'q>(cs: &CompiledSelect, conjs: &[&'q Cond]) -> XsqlResult<Vec<REdge<'q>>> {
+fn runtime_edges<'q>(cs: &CompiledSelect, conjs: &[&'q Cond]) -> XsqlResult<Vec<Edge<'q>>> {
     cs.edges
         .iter()
         .map(|e| {
-            let c = conjs
+            let kind = conjs
                 .get(e.conj as usize)
-                .ok_or_else(|| internal("edge conjunct index out of bounds"))?;
-            let kind = match c {
-                Cond::Cmp {
-                    left,
-                    lq,
-                    op,
-                    rq,
-                    right,
-                } => RKind::Cmp {
-                    left,
-                    lq: *lq,
-                    op: *op,
-                    rq: *rq,
-                    right,
-                },
-                Cond::SetCmp { left, op, right } => RKind::SetCmp {
-                    left,
-                    op: *op,
-                    right,
-                },
-                Cond::Path(p) => {
-                    let mut stripped = p.clone();
-                    if let Some(Step::Method { selector, .. }) = stripped.steps.last_mut() {
-                        *selector = None;
-                    }
-                    RKind::SetLink { path: stripped }
-                }
-                _ => return Err(internal("edge conjunct is not a recognized join shape")),
-            };
-            Ok(REdge {
+                .and_then(|c| EdgeKind::of(c))
+                .ok_or_else(|| internal("edge conjunct is not a recognized join shape"))?;
+            Ok(Edge {
                 a: e.a as usize,
                 b: e.b as usize,
                 kind,
@@ -545,7 +559,7 @@ fn init_var(
 /// right now: the method index must be enabled and complete, and a
 /// parameter key is read back from the bound conjunct. `None` degrades
 /// to the plain scan (sound: probes only narrow).
-fn materialize_probe(ctx: &Ctx<'_>, spec: &ProbeSpec, cond: &Cond) -> Option<Probe> {
+pub(crate) fn materialize_probe(ctx: &Ctx<'_>, spec: &ProbeSpec, cond: &Cond) -> Option<Probe> {
     if !ctx.opts.use_method_index || !ctx.db.attr_index_complete(spec.method) {
         return None;
     }
@@ -595,16 +609,16 @@ fn bare_attr(ctx: &Ctx<'_>, op: &Operand, var: &str) -> Option<Oid> {
     ctx.db.oids().find_sym(n)
 }
 
-/// Caches the per-candidate element columns of one edge (the planner
-/// executor's stage 2). Bare `V.Attr` operands read the stored state
-/// directly — symbol resolved once, no value clone — and fall back to
-/// the full evaluator per candidate when the attribute is inherited or
-/// computed; the produced elements are identical either way, because
-/// `value_at_depth` consults explicit state first.
+/// Caches the per-candidate element columns of one edge. Bare `V.Attr`
+/// operands read the stored state directly — symbol resolved once, no
+/// value clone — and fall back to the full evaluator per candidate when
+/// the attribute is inherited or computed; the produced elements are
+/// identical either way, because `value_at_depth` consults explicit
+/// state first.
 fn build_columns(
     ctx: &Ctx<'_>,
     cs: &CompiledSelect,
-    e: &REdge<'_>,
+    e: &Edge<'_>,
     cands: &[Vec<Oid>],
 ) -> XsqlResult<EdgeColumns> {
     let mut bnd = Bindings::new();
@@ -613,10 +627,10 @@ fn build_columns(
         let v = &cs.vars[vi];
         let mut col = Vec::with_capacity(cands[vi].len());
         let attr = match &e.kind {
-            RKind::Cmp { left, right, .. } | RKind::SetCmp { left, right, .. } => {
+            EdgeKind::Cmp { left, right, .. } | EdgeKind::SetCmp { left, right, .. } => {
                 bare_attr(ctx, if which_a { left } else { right }, &v.name)
             }
-            RKind::SetLink { .. } => None,
+            EdgeKind::SetLink { .. } => None,
         };
         for &o in &cands[vi] {
             ctx.tick()?;
@@ -628,10 +642,10 @@ fn build_columns(
             }
             bnd.push(&v.name, o);
             let elems = match &e.kind {
-                RKind::Cmp { left, right, .. } | RKind::SetCmp { left, right, .. } => {
+                EdgeKind::Cmp { left, right, .. } | EdgeKind::SetCmp { left, right, .. } => {
                     ctx.operand_value(if which_a { left } else { right }, &bnd)?
                 }
-                RKind::SetLink { path } => {
+                EdgeKind::SetLink { path } => {
                     if which_a {
                         ctx.path_value(path, &bnd)?
                             .into_iter()
@@ -659,7 +673,7 @@ fn build_columns(
             .collect()
     };
     let fast = match &e.kind {
-        RKind::Cmp { lq, rq, .. } if *lq != Some(Quant::All) && *rq != Some(Quant::All) => {
+        EdgeKind::Cmp { lq, rq, .. } if *lq != Some(Quant::All) && *rq != Some(Quant::All) => {
             singletons(&a).zip(singletons(&b))
         }
         _ => None,
@@ -671,27 +685,27 @@ fn build_columns(
 /// candidate `bi` of its b-side.
 fn edge_holds(
     ctx: &Ctx<'_>,
-    e: &REdge<'_>,
+    e: &Edge<'_>,
     cols: &Option<EdgeColumns>,
     ai: usize,
     bi: usize,
 ) -> bool {
     let cols = cols.as_ref().expect("validated: columns built");
     match &e.kind {
-        RKind::Cmp { lq, op, rq, .. } => {
+        EdgeKind::Cmp { lq, op, rq, .. } => {
             if let Some((fa, fb)) = &cols.fast {
                 return f64_cmp(*op, fa[ai], fb[bi]);
             }
             ctx.compare(&cols.a[ai], *lq, *op, *rq, &cols.b[bi])
         }
-        RKind::SetCmp { op, .. } => ctx.set_compare(&cols.a[ai], *op, &cols.b[bi]),
-        RKind::SetLink { .. } => ctx.compare(&cols.a[ai], None, CmpOp::Eq, None, &cols.b[bi]),
+        EdgeKind::SetCmp { op, .. } => ctx.set_compare(&cols.a[ai], *op, &cols.b[bi]),
+        EdgeKind::SetLink { .. } => ctx.compare(&cols.a[ai], None, CmpOp::Eq, None, &cols.b[bi]),
     }
 }
 
 /// Resolves an edge's endpoints into (a-side, b-side) candidate indices
 /// given the new variable `vi` at candidate `ci` and an existing tuple.
-fn pair(e: &REdge<'_>, vi: usize, ci: u32, t: &[u32], slot: &[usize]) -> (usize, usize) {
+fn pair(e: &Edge<'_>, vi: usize, ci: u32, t: &[u32], slot: &[usize]) -> (usize, usize) {
     if e.a == vi {
         (ci as usize, t[slot[e.b]] as usize)
     } else {

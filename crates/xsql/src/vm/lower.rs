@@ -1,27 +1,28 @@
 //! Lowering: resolved statements → [`Program`]s.
 //!
 //! The compiler reuses the planner's recognition and cost model
-//! ([`crate::plan::plan_query`] runs the same fragment checks and join
-//! ordering the planned engine uses), then flattens the borrowed
-//! [`crate::plan::Plan`] into the owned pools and instruction stream of
-//! a [`CompiledSelect`]. Conjuncts are referenced by their index in the
-//! deterministic `flatten_and` order, so the executor can re-borrow
-//! them from the (possibly parameter-substituted) statement at run
-//! time. Index probes are lowered to deferred [`ProbeSpec`]s: key
-//! extraction and index-completeness checks happen at execution, which
-//! both keeps probes sound across data changes and lets a probe key be
-//! a `?n` parameter.
+//! ([`crate::plan::plan_query`] runs the fragment checks and join
+//! ordering), then flattens the borrowed [`crate::plan::Plan`] into the
+//! owned pools and instruction stream of a [`CompiledSelect`]
+//! ([`lower_plan`], which the planner also calls for the queries it
+//! takes). Conjuncts are referenced by the index the planner recorded
+//! in the deterministic `flatten_and` order, so the executor can
+//! re-borrow them from the (possibly parameter-substituted) statement
+//! at run time. Index probes are lowered to deferred [`ProbeSpec`]s:
+//! key extraction and index-completeness checks happen at execution,
+//! which both keeps probes sound across data changes and lets a probe
+//! key be a `?n` parameter.
 
 use super::{
     Body, CompiledSelect, KonstSrc, Op, ParamCheck, ParamFamily, ProbeSpec, Program, VmEdge,
     VmFilter, VmVar,
 };
 use crate::ast::*;
-use crate::eval::cond::{conjunct_vars, flatten_and};
+use crate::eval::cond::flatten_and;
 use crate::eval::select::{column_names, prepare};
-use crate::eval::{vars, Ctx, EvalOptions};
+use crate::eval::{Ctx, EvalOptions};
+use crate::plan::{flip, Plan, StepMethod};
 use oodb::{Database, Oid};
-use std::collections::BTreeSet;
 
 /// See [`Program::compile`].
 pub(super) fn compile(db: &Database, opts: &EvalOptions, stmt: Stmt, n_params: u32) -> Program {
@@ -38,9 +39,10 @@ pub(super) fn compile(db: &Database, opts: &EvalOptions, stmt: Stmt, n_params: u
         // exactly as today.
         let planned_engine =
             opts.use_planner && matches!(opts.strategy, crate::eval::Strategy::Pipelined);
-        if opts.use_vm && planned_engine && q.oid_fn.is_none() {
-            if let Some(cs) = lower_select(db, opts, q) {
-                body = Body::Select(cs);
+        if planned_engine && q.oid_fn.is_none() {
+            let ctx = Ctx::new(db, opts);
+            if let Some(plan) = crate::plan::plan_query(&ctx, q, &prepare(q)) {
+                body = lower_plan(&plan, q).map_or(Body::Fallback, Body::Select);
             }
         }
     }
@@ -53,32 +55,13 @@ pub(super) fn compile(db: &Database, opts: &EvalOptions, stmt: Stmt, n_params: u
     }
 }
 
-/// Lowers one SELECT through the planner's recognizer; `None` sends the
-/// statement to the fallback body.
-fn lower_select(db: &Database, opts: &EvalOptions, q: &SelectQuery) -> Option<CompiledSelect> {
-    let prep = prepare(q);
-    let ctx = Ctx::new(db, opts);
-    let plan = crate::plan::plan_query(&ctx, q, &prep)?;
-
-    // Conjunct indices, classified exactly as `plan_query` classified
-    // them (its filters/edges are pushed in flattened-conjunct order).
-    let mut conjs = Vec::new();
-    flatten_and(&q.where_clause, &mut conjs);
-    let mut outer_vars = BTreeSet::new();
-    vars::query_vars(q, &mut outer_vars);
-    let mut filter_conjs: Vec<usize> = Vec::new();
-    let mut edge_conjs: Vec<usize> = Vec::new();
-    for (ci, c) in conjs.iter().enumerate() {
-        match conjunct_vars(c, &outer_vars).len() {
-            1 => filter_conjs.push(ci),
-            2 => edge_conjs.push(ci),
-            _ => return None,
-        }
-    }
-    if filter_conjs.len() != plan.filters.len() || edge_conjs.len() != plan.edges.len() {
-        return None;
-    }
-    if plan.vars.len() > u16::MAX as usize || conjs.len() > u16::MAX as usize {
+/// Lowers a recognized plan of `q` to bytecode. `None` (more than
+/// `u16::MAX` variables or conjuncts) leaves the query to the pipelined
+/// engine.
+pub(crate) fn lower_plan(plan: &Plan<'_>, q: &SelectQuery) -> Option<CompiledSelect> {
+    // Every conjunct is a filter or an edge, so this bounds the indices.
+    let nconj = plan.filters.len() + plan.edges.len();
+    if plan.vars.len() > u16::MAX as usize || nconj > u16::MAX as usize {
         return None;
     }
 
@@ -93,21 +76,19 @@ fn lower_select(db: &Database, opts: &EvalOptions, q: &SelectQuery) -> Option<Co
     let filters: Vec<VmFilter> = plan
         .filters
         .iter()
-        .zip(&filter_conjs)
-        .map(|(f, &ci)| VmFilter {
+        .map(|f| VmFilter {
             var: f.var as u16,
-            conj: ci as u16,
-            probe: probe_spec(db, conjs[ci], plan.vars[f.var].name),
+            conj: f.conj as u16,
+            probe: f.spec,
         })
         .collect();
     let edges: Vec<VmEdge> = plan
         .edges
         .iter()
-        .zip(&edge_conjs)
-        .map(|(e, &ci)| VmEdge {
+        .map(|e| VmEdge {
             a: e.a as u16,
             b: e.b as u16,
-            conj: ci as u16,
+            conj: e.conj as u16,
         })
         .collect();
 
@@ -122,26 +103,25 @@ fn lower_select(db: &Database, opts: &EvalOptions, q: &SelectQuery) -> Option<Co
         let var = step.var as u16;
         let step_edges = |es: &[usize]| es.iter().map(|&e| e as u16).collect::<Vec<u16>>();
         ops.push(match &step.method {
-            crate::plan::StepMethod::Scan => Op::Scan { var },
-            crate::plan::StepMethod::Hash(h) => Op::HashJoin {
+            StepMethod::Scan => Op::Scan { var },
+            StepMethod::Hash(h) => Op::HashJoin {
                 var,
                 hash: *h as u16,
                 edges: step_edges(&step.edges),
             },
-            crate::plan::StepMethod::Theta => Op::ThetaJoin {
+            StepMethod::Theta => Op::ThetaJoin {
                 var,
                 edges: step_edges(&step.edges),
             },
-            crate::plan::StepMethod::Cross => Op::CrossJoin { var },
+            StepMethod::Cross => Op::CrossJoin { var },
         });
     }
     ops.push(Op::Emit);
     ops.push(Op::Halt);
 
     // Emission template: every SELECT item a bare FROM variable →
-    // direct row construction (mirrors the planner executor's fast
-    // path). Parameters never match `IdTerm::Var`, so the template is
-    // bind-invariant.
+    // direct row construction. Parameters never match `IdTerm::Var`, so
+    // the template is bind-invariant.
     let atom_tpl: Option<Vec<u16>> = q
         .select
         .iter()
@@ -182,10 +162,10 @@ fn lower_select(db: &Database, opts: &EvalOptions, q: &SelectQuery) -> Option<Co
 
 /// Recognizes the probe shape `V.Attr op konst` (either orientation)
 /// with an existential path-side quantifier, where `konst` is a bare
-/// constant or parameter. Mirrors the planner's `filter_probe`, minus
-/// the option/index-completeness gates (those re-apply at run time) and
-/// plus parameter keys.
-fn probe_spec(db: &Database, c: &Cond, var: &str) -> Option<ProbeSpec> {
+/// constant or parameter. The option and index-completeness gates apply
+/// when the spec is materialized (`exec::materialize_probe`), both for
+/// the planner's estimates and at every run.
+pub(crate) fn probe_spec(db: &Database, c: &Cond, var: &str) -> Option<ProbeSpec> {
     let Cond::Cmp {
         left,
         lq,
@@ -238,7 +218,7 @@ fn probe_spec(db: &Database, c: &Cond, var: &str) -> Option<ProbeSpec> {
             konst: src,
         })
     };
-    oriented(left, *lq, *op, right).or_else(|| oriented(right, *rq, crate::plan::flip(*op), left))
+    oriented(left, *lq, *op, right).or_else(|| oriented(right, *rq, flip(*op), left))
 }
 
 /// Collects bind-time type checks: for every conjunct of shape

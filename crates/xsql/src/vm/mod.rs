@@ -6,10 +6,11 @@
 //! compiles a *resolved* statement once into a [`Program`] — a compact
 //! register-bytecode form when the statement fits the planner fragment
 //! of [`crate::plan`], a stored-AST fallback otherwise — and executes
-//! it through a dispatch loop ([`exec`]) that ports the planner
-//! executor operator for operator, including its tick discipline, so
-//! budget, deadline, and cancellation behavior stay aligned and result
-//! rows are bit-identical to the naive, pipelined, and planned engines.
+//! it through a dispatch loop ([`exec`]). That loop is the only
+//! executor of the join fragment: the planner lowers the queries it
+//! takes to the same bytecode and runs them there too, so result rows
+//! are bit-identical to the naive and pipelined engines whichever way a
+//! query arrives.
 //!
 //! Three consumers sit on top:
 //!
@@ -23,9 +24,9 @@
 //!   EXECUTE against a name prepared before the crash fails cleanly
 //!   with *unknown prepared statement*).
 //! * **The transparent plan cache** — [`Session::run`] keys compiled
-//!   programs on the whitespace-normalized statement text
-//!   ([`normalize_src`]) and reuses them on textual repeats, with LRU
-//!   eviction at [`PlanCache::CAPACITY`] entries.
+//!   programs on the source text of the statement's tokens
+//!   ([`normalize_src`]) and reuses them on repeats, with LRU eviction
+//!   at [`PlanCache::CAPACITY`] entries.
 //! * **The schema-epoch fence** — every [`Program`] records the
 //!   [`oodb::Database::schema_epoch`] it was compiled under. Any
 //!   definitional statement (class/signature/method/view definition,
@@ -36,17 +37,12 @@
 //!   (`xsql_plan_cache_stale_executions_total`) counts the should-be-
 //!   impossible case and is asserted zero by the chaos harness.
 //!
-//! Set `XSQL_VM=0` (or [`crate::eval::EvalOptions::use_vm`] `= false`)
-//! to disable the VM entirely: `Session::run` then takes the historical
-//! parse→execute path unchanged, and EXECUTE runs prepared bodies
-//! through the stock engines.
-//!
 //! See `docs/VM.md` for the bytecode format and opcode table.
 //!
 //! [`Session::run`]: crate::Session::run
 
 pub mod exec;
-mod lower;
+pub(crate) mod lower;
 
 use crate::ast::*;
 use crate::error::{XsqlError, XsqlResult};
@@ -260,10 +256,7 @@ pub struct Program {
 impl Program {
     /// Compiles a resolved statement under the given database and
     /// options. Statements inside the planner fragment lower to
-    /// bytecode; everything else gets the [`Body::Fallback`] body. With
-    /// [`EvalOptions::use_vm`] off, compilation always produces the
-    /// fallback body, so EXECUTE runs through today's engine paths
-    /// unchanged.
+    /// bytecode; everything else gets the [`Body::Fallback`] body.
     pub fn compile(db: &Database, opts: &EvalOptions, stmt: Stmt, n_params: u32) -> Program {
         lower::compile(db, opts, stmt, n_params)
     }
@@ -382,11 +375,19 @@ pub fn cacheable(stmt: &Stmt) -> bool {
     sel_ok(stmt) && max_param(stmt) == 0
 }
 
-/// The plan-cache key: statement text with runs of whitespace collapsed
-/// to single spaces (so reformatting does not defeat the cache; the
-/// language keeps case significant, so case is preserved).
-pub fn normalize_src(src: &str) -> String {
-    src.split_whitespace().collect::<Vec<_>>().join(" ")
+/// The plan-cache key: the source text of each lexed token, joined by
+/// single spaces. Whitespace and comments between tokens drop out, so
+/// reformatting does not defeat the cache; string literals and case are
+/// kept verbatim, so two texts share a key only when they lex to the
+/// same tokens. Fails with the located lex error `parse` would report.
+pub fn normalize_src(src: &str) -> XsqlResult<String> {
+    let toks = crate::lex(src).map_err(|e| e.with_location(src))?;
+    let texts: Vec<&str> = toks
+        .iter()
+        .filter(|t| t.kind != crate::token::TokenKind::Eof)
+        .map(|t| &src[t.offset..t.end])
+        .collect();
+    Ok(texts.join(" "))
 }
 
 // ---------------------------------------------------------------------
@@ -859,16 +860,26 @@ mod tests {
     }
 
     #[test]
-    fn normalizes_whitespace_only() {
+    fn normalizes_whitespace_and_comments_only() {
+        let key = |src| normalize_src(src).unwrap();
         assert_eq!(
-            normalize_src("SELECT   X\n  FROM Employee\tX"),
+            key("SELECT   X\n  FROM Employee\tX -- all of them\n"),
             "SELECT X FROM Employee X"
         );
         // Case stays significant.
         assert_ne!(
-            normalize_src("select x from Employee x"),
-            normalize_src("SELECT X FROM Employee X")
+            key("select x from Employee x"),
+            key("SELECT X FROM Employee X")
         );
+        // A comment swallowing the rest of its line is not a line break.
+        assert_ne!(
+            key("SELECT X FROM Person X -- note WHERE X.Age = 41"),
+            key("SELECT X FROM Person X -- note\nWHERE X.Age = 41")
+        );
+        // String literals keep their spelling, inner whitespace included.
+        assert_ne!(key("SELECT X WHERE 'a  b'"), key("SELECT X WHERE 'a b'"));
+        assert_eq!(key("SELECT X WHERE 'a  b'"), "SELECT X WHERE 'a  b'");
+        assert!(normalize_src("SELECT 'open").is_err());
     }
 
     #[test]

@@ -84,7 +84,6 @@ fn engines(db: &mut Database, src: &str) -> Vec<(&'static str, relalg::Relation)
     // result value is already interned and OIDs line up exactly.
     let vm_opts = EvalOptions {
         use_planner: true,
-        use_vm: true,
         ..EvalOptions::default()
     };
     let mut sess = Session::with_options(db.clone(), vm_opts);

@@ -15,13 +15,12 @@ use std::path::Path;
 use storage::{CrashMode, FaultFs};
 use xsql::{EvalOptions, Outcome, Session, XsqlError};
 
-/// A session with the VM and planner pinned on, independent of the
-/// `XSQL_VM` / `XSQL_PLANNER` environment.
+/// A session with the planner pinned on, independent of the
+/// `XSQL_PLANNER` environment.
 fn vm_session(db: Database) -> Session {
     Session::with_options(
         db,
         EvalOptions {
-            use_vm: true,
             use_planner: true,
             ..EvalOptions::default()
         },
@@ -203,6 +202,56 @@ fn transparent_plan_cache_hits_on_warm_text_and_invalidates_on_ddl() {
     assert_eq!(cold, again);
     assert_eq!(counter(&s, "xsql_plan_cache_invalidations_total"), i0 + 1);
     assert_eq!(counter(&s, "xsql_plan_cache_stale_executions_total"), 0);
+}
+
+#[test]
+fn plan_cache_key_keeps_comment_line_breaks() {
+    // The comment runs to the end of its line: with the line break the
+    // WHERE clause is live (nobody is 41), without it the comment
+    // swallows the clause.
+    let filtered = "SELECT X FROM Person X -- note\nWHERE X.Age = 41";
+    let swallowed = "SELECT X FROM Person X -- note WHERE X.Age = 41";
+    let want = rows(&mut vm_session(figure1_db()), swallowed);
+    assert_eq!(want.len(), 5, "every Person");
+    let mut s = vm_session(figure1_db());
+    assert_eq!(rows(&mut s, filtered).len(), 0);
+    assert_eq!(rows(&mut s, swallowed), want);
+}
+
+#[test]
+fn plan_cache_key_keeps_string_literals_verbatim() {
+    let mut s = vm_session(figure1_db());
+    s.run("UPDATE CLASS Person SET john13.Name = 'a  b'")
+        .unwrap();
+    let two_spaces = "SELECT X FROM Person X WHERE X.Name = 'a  b'";
+    let one_space = "SELECT X FROM Person X WHERE X.Name = 'a b'";
+    assert_eq!(rows(&mut s, one_space).len(), 0);
+    assert_eq!(rows(&mut s, two_spaces).len(), 1);
+}
+
+#[test]
+fn compiled_join_disassembles_to_the_chosen_plan() {
+    let mut db = figure1_db();
+    let src = "SELECT X, Y FROM Employee X, Employee Y \
+               WHERE X.Salary > 30000 and X.Salary > Y.Salary";
+    let stmt = xsql::resolve_stmt(&mut db, &xsql::parse(src).unwrap()).unwrap();
+    let opts = EvalOptions {
+        use_planner: true,
+        ..EvalOptions::default()
+    };
+    let prog = xsql::vm::Program::compile(&db, &opts, stmt, 0);
+    assert_eq!(
+        prog.disassemble(),
+        [
+            "v0 = init X (1 filter(s), 1 probe(s))",
+            "v1 = init Y (0 filter(s), 0 probe(s))",
+            "c0 = columns X~Y",
+            "scan v0",
+            "thetajoin v1 [c0]",
+            "emit 2 column(s)",
+            "halt",
+        ]
+    );
 }
 
 #[test]
