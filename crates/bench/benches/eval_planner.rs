@@ -1,18 +1,17 @@
 //! E15 — the cost-based planner vs. the pipelined nested-loop engine.
 //!
-//! The E11 join workload over the same scaled Figure 1 database, run
+//! Multi-variable join queries over a scaled Figure 1 database, run
 //! once with the planner enabled (the default) and once with
-//! `use_planner: false`, both strictly sequential, so the delta is the
-//! set-at-a-time plan itself — index probes, hash/theta joins over
-//! cached columns, bulk emission — and nothing else. For every query
+//! `use_planner: false`, so the delta is the set-at-a-time plan itself
+//! — index probes, hash/theta joins over cached columns, bulk emission
+//! — and nothing else. For every query
 //! the two result relations are asserted bit-identical (the
 //! bit-identical-or-bail contract of `docs/PLANNER.md`), then the
 //! median wall-clock of several runs is reported with the speedup of
 //! planned over pipelined.
 //!
 //! Results go to `BENCH_planner.json` at the repo root; EXPERIMENTS.md
-//! E15 narrates them. `BENCH_parallel.json` (E11) keeps the
-//! worker-sweep view of the same queries.
+//! E15 narrates them.
 
 use bench::{compile, provenance_json, scaled_db};
 use std::fmt::Write as _;
@@ -66,7 +65,6 @@ fn main() {
         let mut cells = Vec::new();
         for &(engine, use_planner) in engines {
             let opts = EvalOptions {
-                parallelism: 1,
                 use_planner,
                 ..EvalOptions::default()
             };

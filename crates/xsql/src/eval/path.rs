@@ -220,12 +220,7 @@ impl<'d> Ctx<'d> {
     /// a fixed method name, the inverted index gives a sound superset of
     /// the heads on which that method can be defined; else the sort's
     /// active domain.
-    pub(crate) fn head_candidates(
-        &self,
-        p: &PathExpr,
-        v: &crate::ast::Var,
-        bnd: &Bindings<'_>,
-    ) -> Vec<Oid> {
+    fn head_candidates(&self, p: &PathExpr, v: &crate::ast::Var, bnd: &Bindings<'_>) -> Vec<Oid> {
         let _ = bnd;
         if let Some(rs) = self.ranges {
             if let Some(set) = rs.get(&v.name) {
@@ -258,36 +253,6 @@ impl<'d> Ctx<'d> {
             }
         }
         self.domain(v.sort)
-    }
-
-    /// Which branch of [`Ctx::head_candidates`] would supply the
-    /// candidates for `(p, v)` under empty bindings — the provenance
-    /// string the `EXPLAIN ANALYZE` profile reports. Mirrors the
-    /// decision chain above without enumerating anything.
-    pub(crate) fn head_candidate_source(&self, p: &PathExpr, v: &crate::ast::Var) -> &'static str {
-        if let Some(rs) = self.ranges {
-            if rs.contains_key(&v.name) {
-                return "theorem-6.1-range";
-            }
-        }
-        if self.opts.use_method_index {
-            if let Some(Step::Method {
-                method: MethodTerm::Name(n),
-                selector,
-                ..
-            }) = p.steps.first()
-            {
-                if self.db.oids().find_sym(n).is_some() {
-                    if let Some(IdTerm::Oid(sel)) = selector {
-                        if self.db.oids().as_number(*sel).is_none() {
-                            return "method-value-index";
-                        }
-                    }
-                    return "method-index";
-                }
-            }
-        }
-        "active-domain"
     }
 
     fn walk_steps<'q>(

@@ -329,7 +329,7 @@ pub(crate) fn solve_query_planned(
     };
     let profile = ctx.opts.profile.as_ref();
     if let Some(p) = profile {
-        p.record_strategy("planner", ctx.opts.parallelism);
+        p.record_strategy("planner");
     }
     let (rows, actuals) = exec::run_select(ctx, &cs, q)?;
     if let Some(p) = profile {

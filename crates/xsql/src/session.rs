@@ -271,8 +271,8 @@ impl Session {
 
     /// Opens a session with explicit evaluation options. The telemetry
     /// configuration is read from the environment (`XSQL_TELEMETRY`,
-    /// `XSQL_TELEMETRY_FORMAT`, `XSQL_TELEMETRY_DETERMINISTIC`);
-    /// [`Session::set_registry`] swaps in a different registry.
+    /// `XSQL_TELEMETRY_FORMAT`); [`Session::set_registry`] swaps in a
+    /// different registry.
     pub fn with_options(db: Database, opts: EvalOptions) -> Session {
         let registry = std::sync::Arc::new(telemetry::Registry::from_env());
         let stmt_latency = registry.latency("xsql_stmt_latency_us", &[]);
@@ -495,14 +495,6 @@ impl Session {
     /// Replaces the evaluation options.
     pub fn set_options(&mut self, opts: EvalOptions) {
         self.opts = opts;
-    }
-
-    /// Sets the worker count for top-level SELECT evaluation (clamped
-    /// to at least 1; see [`EvalOptions::parallelism`]). Statements
-    /// other than reads, and nested evaluation, always run
-    /// sequentially regardless of this setting.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.opts.parallelism = workers.max(1);
     }
 
     /// A registered view definition.
@@ -1309,7 +1301,7 @@ impl Session {
         // The static plan under the session's options — what EXPLAIN
         // ANALYZE would measure, predicted without running the query.
         let ctx = Ctx::new(&self.db, &self.opts);
-        out.push_str(&crate::eval::profile::static_plan(&ctx, q)?);
+        out.push_str(&crate::eval::profile::static_plan(&ctx, q));
         Ok(out)
     }
 
@@ -1330,7 +1322,7 @@ impl Session {
         };
         let ctx = Ctx::new(&self.db, &opts);
         eval_rows(&ctx, q)?;
-        Ok(profile.render(self.registry.config().deterministic))
+        Ok(profile.render())
     }
 
     /// Executes a compiled program with the given EXECUTE arguments.

@@ -70,6 +70,38 @@ fn rejects_unknown_fixture_and_flag() {
     assert!(!out.status.success());
 }
 
+/// The engine reads no `XSQL_*` switches from the environment: a
+/// Figure 1 join is planned whatever `XSQL_PLANNER` or
+/// `XSQL_PARALLELISM` say, and `--parallel` is an unknown flag.
+#[test]
+fn engine_ignores_environment_switches() {
+    let mut child = bin()
+        .args(["--db", "figure1"])
+        .env("XSQL_PLANNER", "0")
+        .env("XSQL_PARALLELISM", "4")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child
+        .stdin
+        .as_mut()
+        .unwrap()
+        .write_all(b"EXPLAIN SELECT X, Y FROM Person X, Person Y WHERE X.Age = Y.Age;\n\\q\n")
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("strategy: planner\n"), "{stdout}");
+    assert!(!stdout.contains("parallelism"), "{stdout}");
+
+    let out = bin().args(["--parallel", "2"]).output().unwrap();
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--parallel`"), "{stderr}");
+}
+
 /// Durability end to end: a CLI session with `--open` is SIGKILLed with
 /// a transaction still open; reopening the same directory recovers every
 /// committed statement and none of the uncommitted work.

@@ -2,11 +2,10 @@
 //! nested-loop engine must agree exactly with the naive §3.4
 //! specification semantics — on hand-written queries over the Figure 1
 //! instance and on property-generated queries over random databases.
-//! Every query additionally runs with the method index disabled, with
-//! parallel evaluation (4 workers), through the cost-based planner
-//! (with and without index probes), and through the bytecode VM (a
-//! cold compile and a warm plan-cache hit), which must all produce the
-//! same relation bit-for-bit.
+//! Every query additionally runs with the method index disabled,
+//! through the cost-based planner (with and without index probes), and
+//! through the bytecode VM (a cold compile and a warm plan-cache hit),
+//! which must all produce the same relation bit-for-bit.
 
 use datagen::figure1_db;
 use oodb::{Database, DbBuilder, Oid};
@@ -17,11 +16,9 @@ use xsql::{eval_select, parse, resolve_stmt, EvalOptions, Outcome, Session};
 /// Evaluates `src` under every engine configuration that must agree:
 /// the pipelined engine with the planner disabled, the naive §3.4
 /// reference, the method index disabled (forcing active-domain
-/// enumeration), parallel evaluation with and without the index, and
-/// the cost-based planner with and without index probes. The planner
-/// switch is pinned explicitly on every leg so the crossing does not
-/// depend on the `XSQL_PLANNER` environment. Returns labelled
-/// relations.
+/// enumeration), and the cost-based planner with and without index
+/// probes. The planner switch is pinned explicitly on every leg.
+/// Returns labelled relations.
 fn engines(db: &mut Database, src: &str) -> Vec<(&'static str, relalg::Relation)> {
     let stmt = parse(src).unwrap();
     let Stmt::Select(q) = resolve_stmt(db, &stmt).unwrap() else {
@@ -37,21 +34,6 @@ fn engines(db: &mut Database, src: &str) -> Vec<(&'static str, relalg::Relation)
         (
             "no-method-index",
             EvalOptions {
-                use_method_index: false,
-                ..base.clone()
-            },
-        ),
-        (
-            "parallel(4)",
-            EvalOptions {
-                parallelism: 4,
-                ..base.clone()
-            },
-        ),
-        (
-            "parallel(4),no-method-index",
-            EvalOptions {
-                parallelism: 4,
                 use_method_index: false,
                 ..base.clone()
             },

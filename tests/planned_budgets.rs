@@ -41,7 +41,6 @@ const HASH: Join = Join {
 
 fn unbudgeted() -> EvalOptions {
     EvalOptions {
-        parallelism: 1,
         use_planner: true,
         ..EvalOptions::default()
     }

@@ -15,8 +15,7 @@ use std::path::Path;
 use storage::{CrashMode, FaultFs};
 use xsql::{EvalOptions, Outcome, Session, XsqlError};
 
-/// A session with the planner pinned on, independent of the
-/// `XSQL_PLANNER` environment.
+/// A session with the planner pinned on.
 fn vm_session(db: Database) -> Session {
     Session::with_options(
         db,

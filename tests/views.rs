@@ -1,8 +1,9 @@
 //! §4.2: the CompSalaries view — definition (9), querying through the
-//! view (10), mixing views and non-views, and view-update translation.
+//! view (10), mixing views and non-views, view-update translation, and
+//! the binding-set budget on scans over view (id-term) objects.
 
-use datagen::figure1_db;
-use xsql::{Outcome, Session};
+use datagen::{figure1_db, figure1_scaled, Figure1Params};
+use xsql::{EvalBudget, EvalOptions, Outcome, Session, XsqlError};
 
 const COMP_SALARIES: &str = "CREATE VIEW CompSalaries AS SUBCLASS OF Object \
      SIGNATURE CompName => String, DivName => String, Salary => Numeral \
@@ -170,4 +171,52 @@ fn anonymous_and_named_id_functions_coexist() {
         .query("SELECT V FROM EmpView V WHERE EmpView(john13).Nm = V.Nm and V.Nm['John']")
         .unwrap();
     assert_eq!(r.len(), 1);
+}
+
+/// Regression test for the unbudgeted id-term head scan: the
+/// `IdTerm::Func` branch of `walk_path` enumerates every id-term
+/// object in the database when the head is not fully bound, and that
+/// scan must be subject to `max_binding_set` exactly like the var-head
+/// branch. A view materializing one object per employee makes the scan
+/// large; a small budget must trip it instead of silently enumerating.
+#[test]
+fn partially_unbound_func_head_scan_is_budgeted() {
+    let mut s = Session::new(figure1_scaled(&Figure1Params::default()));
+    let out = s
+        .run(
+            "CREATE VIEW EmpSal AS SUBCLASS OF Object \
+             SIGNATURE Salary => Numeral \
+             SELECT Salary = W.Salary FROM Employee W OID FUNCTION OF W",
+        )
+        .unwrap();
+    let Outcome::ViewCreated { count, .. } = out else {
+        panic!("expected view creation, got {out:?}")
+    };
+    assert!(count > 100, "scaled db should give a large view extent");
+
+    // `V` is bound by nothing but the id-term head itself, so the
+    // evaluator must take the candidate-scan branch over every id-term
+    // object. With the default (huge) budget the scan succeeds: every
+    // employee's own salary appears in their view object.
+    let full = s
+        .query("SELECT W FROM Employee W WHERE EmpSal(V).Salary = W.Salary")
+        .unwrap();
+    assert_eq!(full.len(), count);
+
+    // ...and with a budget smaller than the id-term object population
+    // it must degrade into a clean Budget error, not an unbounded scan.
+    s.set_options(EvalOptions {
+        budget: EvalBudget {
+            max_binding_set: 50,
+            ..EvalBudget::default()
+        },
+        ..EvalOptions::default()
+    });
+    match s.query("SELECT W FROM Employee W WHERE EmpSal(V).Salary = W.Salary") {
+        Err(XsqlError::Budget { resource, limit }) => {
+            assert_eq!(resource, "binding set size");
+            assert_eq!(limit, 50);
+        }
+        other => panic!("expected binding-set Budget error, got {other:?}"),
+    }
 }
